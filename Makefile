@@ -38,16 +38,17 @@ lint: $(TMFLINT)
 	TMFLINT_TIMING=$(abspath $(LINT_TIMING)) $(GO) vet -vettool=$(TMFLINT) ./...
 	$(TMFLINT) -timing -budget $(LINT_BUDGET) $(LINT_TIMING)
 
-# Race-detector runs over the packages with real concurrency: the TMF
-# commit/abort fan-out, the audit trail's group commit, the striped lock
-# manager, the DISCPROCESS scheduler and its handlers, the observability
-# layer they all record into, the simulated EXPAND network and its fault
-# injector, the process-pair runtime, and the trace-oracle chaos test (the
-# long soak stays race-free via the package run above, but is too slow
-# under -race).
+# Race-detector runs over the packages with real concurrency: the message
+# system's mailboxes (every process's inbox), the server-class link
+# manager, the TMF commit/abort fan-out, the audit trail's group commit,
+# the striped lock manager, the DISCPROCESS scheduler and its handlers, the
+# observability layer they all record into, the simulated EXPAND network
+# and its fault injector, the process-pair runtime, and the trace-oracle
+# chaos and mixed-workload tests (the long soak stays race-free via the
+# package run above, but is too slow under -race).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/...
-	$(GO) test -race -run 'TestChaosTraceOracle|TestBatchingKnobStateEquivalence' .
+	$(GO) test -race ./internal/msg/... ./internal/appserver/... ./internal/obs/... ./internal/tmf/... ./internal/audit/... ./internal/lock/... ./internal/discproc/... ./internal/workload/... ./internal/expand/... ./internal/pair/... ./internal/dst/... ./internal/rollforward/... ./internal/paxoscommit/...
+	$(GO) test -race -run 'TestChaosTraceOracle|TestMixStateOracle' .
 
 # Fuzz smoke: a few seconds per target over the transid and message
 # wire-format round-trips and the audit trail's segment codec ('go test
@@ -101,8 +102,8 @@ soak-short:
 	$(GO) run -race ./cmd/dst -seed $(SOAK_START) -schedules 100
 
 # A few seconds of open-loop terminal load under the race detector, with
-# every batching knob on and the Figure-3 trace oracle validating a sample
-# of the traces afterwards (TestLoadShortOpenLoop in load_test.go).
+# the Figure-3 trace oracle validating every captured trace afterwards
+# (TestLoadShortOpenLoop in load_test.go).
 load-short:
 	$(GO) test -race -short -run TestLoadShortOpenLoop -count=1 .
 

@@ -18,33 +18,23 @@ type ServerClassConfig struct {
 	Handler      Handler
 	MinInstances int
 	MaxInstances int
-	// DispatchShards splits the class's link manager into per-CPU
-	// dispatcher shards (see appserver.Config.DispatchShards). 0 inherits
-	// the system-wide Config.DispatchShards; both default to the seed's
-	// single-dispatcher behaviour.
-	DispatchShards int
 }
 
 // StartServerClass launches a class of context-free application servers on
 // the node, managed by application control (dynamic instance creation and
 // deletion).
 func (n *Node) StartServerClass(cfg ServerClassConfig) (*appserver.Class, error) {
-	shards := cfg.DispatchShards
-	if shards == 0 {
-		shards = n.dispatchShards
-	}
 	return appserver.Start(n.Msg, appserver.Config{
-		Class:          cfg.Class,
-		Handler:        cfg.Handler,
-		MinInstances:   cfg.MinInstances,
-		MaxInstances:   cfg.MaxInstances,
-		DispatchShards: shards,
+		Class:        cfg.Class,
+		Handler:      cfg.Handler,
+		MinInstances: cfg.MinInstances,
+		MaxInstances: cfg.MaxInstances,
 	})
 }
 
 // CallServerFrom is CallServer with an explicit originating CPU, so load
-// generators can exercise per-CPU sharded dispatch instead of funnelling
-// every request through the first up processor.
+// generators can spread their requests over the node's processors instead
+// of funnelling every request through the first up processor.
 func (n *Node) CallServerFrom(cpu int, node, class string, tx txid.ID, fields map[string]string, timeout time.Duration) (map[string]string, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second

@@ -55,7 +55,7 @@ var descriptions = []struct{ id, title string }{
 	{"T12", "DST explorer throughput: full fault schedules audited per second"},
 	{"T13", "ROLLFORWARD recovery time vs audit-trail length (streamed replay)"},
 	{"T14", "disposition under coordinator failure: blocking 2PC vs Paxos Commit (F=1)"},
-	{"T15", "terminal-scale open-loop throughput and batching ablation"},
+	{"T15", "terminal-scale open-loop throughput"},
 }
 
 // jsonDoc is the envelope written by -json; see EXPERIMENTS.md for the
@@ -103,7 +103,7 @@ func run() int {
 	window := flag.Duration("t14window", experiments.T14Window, "T14: how long the killed coordinator stays dead while the participant is probed")
 	rate := flag.Float64("rate", experiments.T15Rate, "T15: aggregate offered open-loop load, tx/sec")
 	terminals := flag.Int("terminals", experiments.T15Terminals, "T15: simulated terminal count (one goroutine each)")
-	loadDur := flag.Duration("loadduration", experiments.T15Duration, "T15: measured open-loop window per configuration")
+	loadDur := flag.Duration("loadduration", experiments.T15Duration, "T15: measured open-loop window")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	flag.Parse()

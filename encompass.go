@@ -118,20 +118,6 @@ type Config struct {
 	// CommitAcceptors is the Paxos Commit acceptor count per home node
 	// (2F+1, odd; 0 means 3).
 	CommitAcceptors int
-	// MailboxCoalesce switches every node's message system to drain-many
-	// mailboxes: a receiver wakeup drains the whole queued batch under one
-	// lock hand-off instead of one channel operation per message. False
-	// (the default) is the seed's channel-per-message behaviour, kept for
-	// the batching ablation benchmark.
-	MailboxCoalesce bool
-	// PiggybackBroadcasts defers each transaction's BEGIN 'active' state
-	// broadcast so it rides the END/abort broadcast as one batched frame
-	// per CPU (see tmf.Config.PiggybackBroadcasts). False = seed.
-	PiggybackBroadcasts bool
-	// DispatchShards is the default per-CPU dispatcher shard count for
-	// server classes started via StartServerClass (overridable per class).
-	// 0 or 1 = the seed's single link-manager process per class.
-	DispatchShards int
 }
 
 // Volume bundles the running pieces serving one disc volume.
@@ -154,9 +140,6 @@ type Node struct {
 
 	netw     *expand.Network
 	beginCPU atomic.Uint64
-
-	// dispatchShards is the system-wide default for StartServerClass.
-	dispatchShards int
 }
 
 // System is the running simulation: all nodes plus the network.
@@ -214,9 +197,6 @@ func buildNode(net *expand.Network, ns NodeSpec, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	sys := msg.NewSystem(hwNode)
-	if cfg.MailboxCoalesce {
-		sys.SetMailboxCoalesce(true)
-	}
 	net.Attach(sys)
 
 	// One registry and (optionally) one tracer per node, shared by the TMF
@@ -240,19 +220,17 @@ func buildNode(net *expand.Network, ns NodeSpec, cfg Config) (*Node, error) {
 		StrictStateCheck:       cfg.StrictStateCheck,
 		CommitProtocol:         cfg.CommitProtocol,
 		CommitAcceptors:        cfg.CommitAcceptors,
-		PiggybackBroadcasts:    cfg.PiggybackBroadcasts,
 	})
 	if err != nil {
 		return nil, err
 	}
 	n := &Node{
-		Name:           ns.Name,
-		HW:             hwNode,
-		Msg:            sys,
-		TMF:            mon,
-		Volumes:        make(map[string]*Volume),
-		netw:           net,
-		dispatchShards: cfg.DispatchShards,
+		Name:    ns.Name,
+		HW:      hwNode,
+		Msg:     sys,
+		TMF:     mon,
+		Volumes: make(map[string]*Volume),
+		netw:    net,
 	}
 
 	// One AUDITPROCESS + trail per audit group.

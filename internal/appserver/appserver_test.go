@@ -208,3 +208,34 @@ func TestManyClassesCoexist(t *testing.T) {
 		}
 	}
 }
+
+// TestDispatchConcurrent drives the class's one link manager from every
+// CPU at once, under -race in `make race`: each request is dispatched
+// exactly once whichever processor issued it.
+func TestDispatchConcurrent(t *testing.T) {
+	sys := newSys(t, 4)
+	cls, err := Start(sys, Config{Class: "echo", Handler: echoHandler, MaxInstances: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 80
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := CallTimeout(sys, i%4, "", "echo", txid.ID{}, map[string]string{"I": strconv.Itoa(i)}, 5*time.Second); err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if d := cls.Stats().Dispatched; d != n {
+		t.Errorf("dispatched %d, want %d", d, n)
+	}
+}

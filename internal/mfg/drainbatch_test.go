@@ -6,34 +6,12 @@ import (
 	"time"
 )
 
-func TestDrainBatchSizeClamped(t *testing.T) {
-	_, app := buildMfg(t, "a", "b")
-	if got := app.drainBatchSize(); got != 1 {
-		t.Errorf("default drain batch = %d, want 1 (seed behaviour)", got)
-	}
-	app.SetDrainBatch(0)
-	if got := app.drainBatchSize(); got != 1 {
-		t.Errorf("SetDrainBatch(0) -> %d, want clamp to 1", got)
-	}
-	app.SetDrainBatch(-4)
-	if got := app.drainBatchSize(); got != 1 {
-		t.Errorf("SetDrainBatch(-4) -> %d, want clamp to 1", got)
-	}
-	app.SetDrainBatch(7)
-	if got := app.drainBatchSize(); got != 7 {
-		t.Errorf("SetDrainBatch(7) -> %d", got)
-	}
-}
-
-// TestDrainBatchChunksConverge: with the suspense drain batching several
-// deferred updates into one TMF transaction per target, a backlog built up
-// behind a partition must still converge to exactly the per-key final
-// values, the suspense file must drain to zero, and the applied counter
-// must account for every queued entry — batching changes transaction
-// boundaries, never outcomes.
+// TestDrainBatchChunksConverge: a backlog of deferred updates built up
+// behind a partition must, once healed, converge to exactly the per-key
+// final values, the suspense file must drain to zero, and the applied
+// counter must account for every queued entry.
 func TestDrainBatchChunksConverge(t *testing.T) {
 	sys, app := buildMfg(t)
-	app.SetDrainBatch(3) // 5 queued entries per target: chunks of 3 + 2
 	const items = 5
 	for i := 0; i < items; i++ {
 		if err := app.SeedItem("item-master", fmt.Sprintf("batch-%d", i), "cupertino", "v0"); err != nil {
@@ -73,15 +51,14 @@ func TestDrainBatchChunksConverge(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if d := app.SuspenseDepth("cupertino"); d != 0 {
-		t.Errorf("suspense depth = %d after batched drain", d)
+		t.Errorf("suspense depth = %d after the backlog drained", d)
 	}
 }
 
-// TestDrainBatchOrderPreserved: sequential updates to ONE key must still
-// apply in FIFO order when they ride the same chunk.
+// TestDrainBatchOrderPreserved: a backlog of sequential updates to ONE
+// key must apply in FIFO order when the partition heals.
 func TestDrainBatchOrderPreserved(t *testing.T) {
 	sys, app := buildMfg(t)
-	app.SetDrainBatch(8) // all queued versions land in one chunk
 	app.SeedItem("item-master", "chunked", "cupertino", "v0")
 	sys.Partition("neufahrn")
 	for i := 1; i <= 4; i++ {
@@ -94,6 +71,6 @@ func TestDrainBatchOrderPreserved(t *testing.T) {
 		t.Fatal("did not converge")
 	}
 	if _, p, _ := app.ReadItem("neufahrn", "item-master", "chunked"); p != "v4" {
-		t.Errorf("neufahrn = %q, want v4 (chunked apply broke FIFO order)", p)
+		t.Errorf("neufahrn = %q, want v4 (backlog drain broke FIFO order)", p)
 	}
 }

@@ -8,13 +8,11 @@ import (
 	"time"
 )
 
-// TestCoalescedMailboxFIFO: the drain-many mailbox replaces the per-message
-// channel, so its one observable contract is total FIFO order over the
-// queue with exactly-once delivery — batching is allowed to change timing,
-// never ordering.
+// TestCoalescedMailboxFIFO: the drain-many mailbox's one observable
+// contract is total FIFO order over the queue with exactly-once delivery —
+// draining many messages per wakeup may change timing, never ordering.
 func TestCoalescedMailboxFIFO(t *testing.T) {
 	s := newSys(t, 2)
-	s.SetMailboxCoalesce(true)
 	const n = 500
 	got := make(chan int, n)
 	if _, err := s.Spawn(1, "sink", func(p *Process) {
@@ -60,11 +58,10 @@ func TestCoalescedMailboxFIFO(t *testing.T) {
 	}
 }
 
-// TestCoalescedRequestReply: the full call path (request, correlated
-// reply) behaves identically with the coalesced mailbox selected.
+// TestCoalescedRequestReply: concurrent calls from every CPU through the
+// full call path (request, correlated reply) all get their own answer.
 func TestCoalescedRequestReply(t *testing.T) {
 	s := newSys(t, 3)
-	s.SetMailboxCoalesce(true)
 	if _, err := s.Spawn(1, "echo", func(p *Process) {
 		for {
 			m, err := p.Recv(context.Background())
@@ -102,32 +99,136 @@ func TestCoalescedRequestReply(t *testing.T) {
 	}
 }
 
-// TestCoalesceSelectionAtSpawn: the knob selects the inbox variant for
-// processes spawned AFTER it flips; already-spawned processes keep their
-// channel inbox. Messages to a pre-knob process must not count in
-// CoalesceStats.
-func TestCoalesceSelectionAtSpawn(t *testing.T) {
-	s := newSys(t, 2)
-	done := make(chan struct{})
-	if _, err := s.Spawn(1, "old", func(p *Process) {
-		if _, err := p.Recv(context.Background()); err == nil {
-			close(done)
+// fillMailbox queues inboxDepth one-way messages (payloads 0..inboxDepth-1)
+// for the named process, sent from CPU 0; the receiver must not be
+// draining, so every later send finds the mailbox full.
+func fillMailbox(t *testing.T, s *System, name string) {
+	t.Helper()
+	for i := 0; i < inboxDepth; i++ {
+		if err := s.send(Message{From: PID{Node: s.node.Name()}, To: Addr{Name: name}, Kind: "seq", Payload: i}); err != nil {
+			t.Fatalf("fill send %d: %v", i, err)
 		}
-	}); err != nil {
+	}
+}
+
+// sendAsync sends one message from CPU 0 and closes the returned channel
+// when the send returns. A send accepted by the transfer reports nil even
+// when the full mailbox later drops it, so callers judge the outcome by
+// what the receiver gets, not by the error.
+func sendAsync(s *System, name string, payload int) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = s.send(Message{From: PID{Node: s.node.Name()}, To: Addr{Name: name}, Kind: "seq", Payload: payload})
+	}()
+	return done
+}
+
+// TestMailboxFullReleasedByDrain: senders that find the mailbox at
+// inboxDepth block; one drain by the receiver releases all of them through
+// the space token, long before inboxFullTimeout, and none of their
+// messages is dropped.
+func TestMailboxFullReleasedByDrain(t *testing.T) {
+	s := newSys(t, 2)
+	const blocked = 3
+	first := make(chan struct{}) // closed: take one message (one drain)
+	rest := make(chan struct{})  // closed: take everything else
+	got := make(chan int, inboxDepth+blocked)
+	sink, err := s.Spawn(1, "sink", func(p *Process) {
+		<-first
+		for i := 0; i < inboxDepth+blocked; i++ {
+			if i == 1 {
+				<-rest
+			}
+			m, err := p.Recv(context.Background())
+			if err != nil {
+				return
+			}
+			got <- m.Payload.(int)
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetMailboxCoalesce(true)
-	if _, err := s.Spawn(0, "src", func(p *Process) {
-		p.Send(Addr{Name: "old"}, "ping", nil)
-	}); err != nil {
+	fillMailbox(t, s, "sink")
+	var senders []<-chan struct{}
+	for j := 0; j < blocked; j++ {
+		senders = append(senders, sendAsync(s, "sink", inboxDepth+j))
+	}
+	time.Sleep(100 * time.Millisecond)
+	for j, done := range senders {
+		select {
+		case <-done:
+			t.Fatalf("sender %d returned while the mailbox was full and undrained", j)
+		default:
+		}
+	}
+
+	close(first)
+	release := time.After(inboxFullTimeout / 2)
+	for j, done := range senders {
+		select {
+		case <-done:
+		case <-release:
+			t.Fatalf("sender %d still blocked after the receiver drained", j)
+		}
+	}
+	sink.mbox.mu.Lock()
+	queued := len(sink.mbox.q)
+	sink.mbox.mu.Unlock()
+	if queued != blocked {
+		t.Fatalf("%d messages queued after the release, want the %d blocked sends", queued, blocked)
+	}
+
+	close(rest)
+	late := map[int]bool{}
+	for i := 0; i < inboxDepth+blocked; i++ {
+		var v int
+		select {
+		case v = <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("delivery stalled after %d messages", i)
+		}
+		if i < inboxDepth && v != i {
+			t.Fatalf("message %d delivered as %d: FIFO order broken", i, v)
+		}
+		if i >= inboxDepth {
+			late[v] = true
+		}
+	}
+	for j := 0; j < blocked; j++ {
+		if !late[inboxDepth+j] {
+			t.Errorf("blocked send %d never delivered", j)
+		}
+	}
+}
+
+// TestMailboxFullSenderReleasedOnCPUFailure: a sender blocked on a full
+// mailbox whose process's CPU then fails returns at once — the message is
+// undeliverable — instead of waiting out inboxFullTimeout. The receiver is
+// stuck in a handler that never looks at its context, so it is the CPU
+// failure, not the process exiting, that must release the sender.
+func TestMailboxFullSenderReleasedOnCPUFailure(t *testing.T) {
+	s := newSys(t, 2)
+	hold := make(chan struct{})
+	t.Cleanup(func() { close(hold) })
+	if _, err := s.Spawn(1, "stuck", func(p *Process) { <-hold }); err != nil {
+		t.Fatal(err)
+	}
+	fillMailbox(t, s, "stuck")
+	done := sendAsync(s, "stuck", inboxDepth)
+	time.Sleep(100 * time.Millisecond)
+	select {
+	case <-done:
+		t.Fatal("sender returned while the mailbox was full and the CPU up")
+	default:
+	}
+	if err := s.node.FailCPU(1); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("pre-knob process never received")
-	}
-	if wakeups, messages, _ := s.CoalesceStats(); wakeups != 0 || messages != 0 {
-		t.Errorf("pre-knob delivery hit the coalesced path: wakeups=%d messages=%d", wakeups, messages)
+	case <-time.After(inboxFullTimeout / 5):
+		t.Fatal("blocked sender not released by the receiver's CPU failure")
 	}
 }

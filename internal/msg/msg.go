@@ -121,20 +121,22 @@ type RemoteSender interface {
 	SendRemote(dest string, m Message) error
 }
 
+// inboxDepth bounds a process's queued messages; a sender that finds the
+// mailbox this full waits for the receiver's next drain.
 const inboxDepth = 1024
 
 // inboxFullTimeout bounds how long a sender waits on a full inbox before
 // dropping the message (the destination is stuck; the caller's timeout
-// fires). Shared by the channel and coalesced mailbox variants.
+// fires).
 const inboxFullTimeout = 5 * time.Second
 
-// mailbox is the coalesced inbox variant: a mutex-guarded queue with a
-// one-slot wakeup channel. Senders append under the mutex and post at most
-// one wakeup; the receiver drains the whole queue in one swap per wakeup
+// mailbox is every process's inbox: a mutex-guarded queue with a one-slot
+// wakeup channel. Senders append under the mutex and post at most one
+// wakeup; the receiver drains the whole queue in one swap per wakeup
 // ("drain-many") instead of paying one channel operation per message. At
 // high arrival rates this collapses thousands of goroutine wakeups per
-// second into a handful of drains. FIFO order is total over the queue,
-// exactly like the channel it replaces.
+// second into a handful of drains. FIFO order is total over the queue.
+// The queue grows on demand, so an idle process holds no message buffer.
 type mailbox struct {
 	mu    sync.Mutex
 	q     []Message     // guarded by mu
@@ -154,10 +156,19 @@ func (b *mailbox) put(m Message, p *Process) bool {
 		b.mu.Lock()
 		if len(b.q) < inboxDepth {
 			b.q = append(b.q, m)
+			room := len(b.q) < inboxDepth
 			b.mu.Unlock()
 			select {
 			case b.wake <- struct{}{}:
 			default: // a wakeup is already pending; the drain will see us
+			}
+			if room {
+				// A drain posts one space token however many senders it
+				// freed room for: pass it on to the next waiting sender.
+				select {
+				case b.space <- struct{}{}:
+				default:
+				}
 			}
 			return true
 		}
@@ -213,10 +224,8 @@ type Process struct {
 	// on a failed CPU can never serve, reply, or send again.
 	ctx context.Context
 
-	inbox chan Message
-	// mbox, when non-nil, replaces inbox with the coalesced drain-many
-	// mailbox (System.SetMailboxCoalesce). drained is the receiver-local
-	// batch being served; only the process goroutine touches it.
+	// mbox is the inbox. drained is the receiver-local batch being
+	// served; only the process goroutine touches it.
 	mbox      *mailbox
 	drained   []Message
 	drainedAt int
@@ -253,48 +262,27 @@ func (p *Process) halted() bool { return p.ctx.Err() != nil }
 // done. It returns a non-nil error when the process should stop serving.
 // A process on a failed CPU never receives another message, even one that
 // was queued before the failure: a dead processor does no work.
+//
+// Recv serves from the receiver-local drained batch, refilling it with one
+// mailbox swap per wakeup: a wakeup that finds k queued messages costs one
+// mutex acquisition and one channel receive for all k.
 func (p *Process) Recv(ctx context.Context) (Message, error) {
-	if p.halted() {
-		return Message{}, ErrProcessDead
-	}
-	if p.mbox != nil {
-		return p.recvCoalesced(ctx)
-	}
-	select {
-	case m := <-p.inbox:
+	for {
 		if p.halted() {
 			return Message{}, ErrProcessDead
 		}
-		return m, nil
-	case <-p.ctx.Done():
-		return Message{}, ErrProcessDead
-	case <-ctx.Done():
-		return Message{}, ctx.Err()
-	}
-}
-
-// recvCoalesced serves from the receiver-local drained batch, refilling it
-// with one mailbox swap per wakeup. A wakeup that finds k queued messages
-// costs one mutex acquisition and one channel receive for all k, instead
-// of k channel operations.
-func (p *Process) recvCoalesced(ctx context.Context) (Message, error) {
-	for {
 		if p.drainedAt < len(p.drained) {
 			m := p.drained[p.drainedAt]
 			p.drained[p.drainedAt] = Message{} // no payload retention
 			p.drainedAt++
-			if p.halted() {
-				return Message{}, ErrProcessDead
-			}
 			return m, nil
 		}
 		batch := p.mbox.drain(p.drained)
+		p.drained, p.drainedAt = batch, 0
 		if len(batch) > 0 {
-			p.drained, p.drainedAt = batch, 0
 			p.sys.noteDrain(uint64(len(batch)))
 			continue
 		}
-		p.drained, p.drainedAt = batch, 0
 		select {
 		case <-p.mbox.wake:
 		case <-p.ctx.Done():
@@ -367,9 +355,7 @@ type System struct {
 
 	remote RemoteSender
 
-	// coalesce selects the drain-many mailbox for subsequently spawned
-	// processes; the counters below measure how much it batches.
-	coalesce       atomic.Bool
+	// The drain counters measure how much the mailboxes batch.
 	drainWakeups   atomic.Uint64
 	drainMessages  atomic.Uint64
 	drainMaxLocked struct {
@@ -378,16 +364,8 @@ type System struct {
 	}
 }
 
-// SetMailboxCoalesce selects the inbox variant for processes spawned after
-// the call: false (the default) is the seed's buffered channel, one channel
-// operation per message; true is the coalesced mailbox, which drains every
-// queued message per receiver wakeup. Set it before spawning services —
-// already-running processes keep the inbox they were born with.
-func (s *System) SetMailboxCoalesce(on bool) { s.coalesce.Store(on) }
-
 // CoalesceStats reports the drain-many mailbox activity: receiver wakeups
-// that found work, messages moved, and the largest single drain. With
-// coalescing off all three are zero.
+// that found work, messages moved, and the largest single drain.
 func (s *System) CoalesceStats() (wakeups, messages, maxBatch uint64) {
 	s.drainMaxLocked.Lock()
 	mb := s.drainMaxLocked.max
@@ -445,12 +423,8 @@ func (s *System) Spawn(cpu int, name string, fn func(p *Process)) (*Process, err
 		cpu:  c,
 		name: name,
 		ctx:  c.Context(), // this incarnation's context, permanently
+		mbox: newMailbox(),
 		done: make(chan struct{}),
-	}
-	if s.coalesce.Load() {
-		p.mbox = newMailbox()
-	} else {
-		p.inbox = make(chan Message, inboxDepth)
 	}
 	s.procs[p.pid.Seq] = p
 	if name != "" {
@@ -560,22 +534,9 @@ func (s *System) deliverLocal(fromCPU int, p *Process, m Message) error {
 		// again. With the CPU still down, Transfer reports ErrCPUDown.
 		return fmt.Errorf("%w: %s", ErrProcessDead, p.pid)
 	}
-	return s.node.Transfer(fromCPU, p.pid.CPU, func() {
-		if p.mbox != nil {
-			// Coalesced mailbox: append under its mutex; a full queue for
-			// inboxFullTimeout drops the message like the channel path.
-			p.mbox.put(m, p)
-			return
-		}
-		select {
-		case p.inbox <- m:
-		case <-p.ctx.Done():
-		case <-p.done:
-		case <-time.After(inboxFullTimeout):
-			// A full inbox for this long indicates a stuck server; the
-			// message is dropped and the caller's timeout fires.
-		}
-	})
+	// A full mailbox for inboxFullTimeout indicates a stuck server; put
+	// drops the message and the caller's timeout fires.
+	return s.node.Transfer(fromCPU, p.pid.CPU, func() { p.mbox.put(m, p) })
 }
 
 // DeliverFromNetwork injects a message that arrived from another node. The

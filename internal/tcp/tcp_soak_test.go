@@ -105,12 +105,15 @@ type termDriver struct {
 	}
 }
 
-// driveToCompletion keeps supplying the s2 screen until the program
-// finishes; restarts after takeover consume a fresh ACCEPT each time.
+// driveToCompletion keeps re-entering the form until the program
+// finishes. A restart after a takeover consumes a fresh ACCEPT each time,
+// and a takeover before the program's first BEGIN-TRANSACTION checkpoint
+// restarts it at its first screen, so each entry carries both screens'
+// fields, as a user re-keys whichever screen reappears.
 func (td *termDriver) driveToCompletion() {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		td.term.Input(map[string]string{"go": "y"})
+		td.term.Input(map[string]string{"acct": "100", "amount": "1", "go": "y"})
 		if err := td.term.Wait(300 * time.Millisecond); err == nil {
 			return
 		}

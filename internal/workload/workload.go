@@ -219,12 +219,17 @@ func hasLocalBranch(cfg *BankConfig, node string) bool {
 	return false
 }
 
+// isRetryable reports whether the transaction failed in a way RESTART-
+// TRANSACTION recovers from: a lock timeout, or an abort by the system,
+// which reaches a transaction waiting on a lock as a release of that wait
+// (a processor failure backs out every transaction begun on it). Errors
+// that crossed a process boundary arrive as text, hence the substrings.
 func isRetryable(err error) bool {
-	if errors.Is(err, lock.ErrTimeout) {
+	if errors.Is(err, lock.ErrTimeout) || errors.Is(err, lock.ErrReleased) {
 		return true
 	}
 	s := err.Error()
-	return containsAny(s, "timed out", "aborted", "already ended")
+	return containsAny(s, "timed out", "aborted", "already ended", lock.ErrReleased.Error())
 }
 
 func containsAny(s string, subs ...string) bool {

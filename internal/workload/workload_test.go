@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
 	"encompass"
+	"encompass/internal/lock"
+	"encompass/internal/msg"
 )
 
 func buildSys(t *testing.T, nodes ...string) *encompass.System {
@@ -137,4 +140,24 @@ func TestConsistencySurvivesCPUFailureMidRun(t *testing.T) {
 		t.Errorf("invariant violated after CPU failure: %v", err)
 	}
 	t.Logf("committed=%d aborted=%d retries=%d", res.Committed, res.Aborted, res.Retries)
+}
+
+// TestIsRetryable: a transaction the system aborted while it waited on a
+// lock sees its wait released, directly or as a server's remote error; the
+// terminal restarts it like a lock timeout. Other failures are final.
+func TestIsRetryable(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want bool
+	}{
+		{lock.ErrTimeout, true},
+		{lock.ErrReleased, true},
+		{&msg.RemoteError{Msg: lock.ErrReleased.Error()}, true},
+		{errors.New("tmf: transaction aborted"), true},
+		{errors.New("fsys: no such file"), false},
+	} {
+		if got := isRetryable(c.err); got != c.want {
+			t.Errorf("isRetryable(%v) = %v, want %v", c.err, got, c.want)
+		}
+	}
 }
